@@ -20,7 +20,7 @@ void MemoryModel::store(std::uint64_t addr, const SymValue& value,
   }
   for (unsigned i = 0; i < size_bytes; ++i) {
     const z3::expr byte = e.extract(i * 8 + 7, i * 8);
-    bytes_.insert_or_assign(addr + i, byte.simplify());
+    bytes_.insert_or_assign(addr + i, env_->simplify(byte));
   }
 }
 
@@ -80,7 +80,7 @@ SymValue MemoryModel::load(std::uint64_t addr, unsigned size_bytes,
     value = sign_extend ? z3::sext(value, target_bits - have)
                         : z3::zext(value, target_bits - have);
   }
-  return SymValue{result_type, value.simplify()};
+  return SymValue{result_type, env_->simplify(value)};
 }
 
 bool has_variables(const z3::expr& e) {

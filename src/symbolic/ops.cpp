@@ -1,6 +1,7 @@
 #include "symbolic/ops.hpp"
 
 #include "eosvm/vm.hpp"
+#include "util/error.hpp"
 
 namespace wasai::symbolic {
 
@@ -9,34 +10,14 @@ namespace {
 using wasm::Opcode;
 using wasm::ValType;
 
-vm::Value to_concrete(const SymValue& v) {
-  return vm::Value{v.type, v.concrete().value()};
+unsigned width_of(ValType t) {
+  return (t == ValType::I32 || t == ValType::F32) ? 32 : 64;
 }
 
-/// Concrete fallback: evaluate with the interpreter's semantics when all
-/// operands are concrete; otherwise return a fresh unconstrained variable.
-SymValue fallback_unary(Z3Env& env, Opcode op, const SymValue& x) {
+/// Float op with a symbolic operand: a fresh unconstrained variable.
+SymValue fresh_result(Z3Env& env, Opcode op) {
   const auto& info = wasm::op_info(op);
-  const unsigned bits =
-      (info.result == ValType::I32 || info.result == ValType::F32) ? 32 : 64;
-  if (x.is_concrete()) {
-    const vm::Value r = vm::eval_unary_op(op, to_concrete(x));
-    return SymValue{info.result, env.bv(r.bits, bits)};
-  }
-  return SymValue{info.result, env.fresh(info.name, bits)};
-}
-
-SymValue fallback_binary(Z3Env& env, Opcode op, const SymValue& a,
-                         const SymValue& b) {
-  const auto& info = wasm::op_info(op);
-  const unsigned bits =
-      (info.result == ValType::I32 || info.result == ValType::F32) ? 32 : 64;
-  if (a.is_concrete() && b.is_concrete()) {
-    const vm::Value r =
-        vm::eval_binary_op(op, to_concrete(a), to_concrete(b));
-    return SymValue{info.result, env.bv(r.bits, bits)};
-  }
-  return SymValue{info.result, env.fresh(info.name, bits)};
+  return SymValue{info.result, env.fresh(info.name, width_of(info.result))};
 }
 
 z3::expr masked_shift(Z3Env& env, const z3::expr& amount, unsigned bits) {
@@ -58,18 +39,25 @@ z3::expr rotr_expr(Z3Env& env, const z3::expr& a, const z3::expr& n,
 }  // namespace
 
 SymValue sym_unary(Z3Env& env, Opcode op, const SymValue& x) {
-  const auto& info = wasm::op_info(op);
+  if (const auto v = x.concrete()) {
+    // Concrete operand: the interpreter computes the numeral Z3's
+    // simplify() would reach. Only float truncations trap, and they have
+    // no Z3 term to fall back on, so their trap propagates.
+    const auto& info = wasm::op_info(op);
+    const vm::Value r = vm::eval_unary_op(op, vm::Value{x.type, *v});
+    return {info.result, env.bv(r.bits, width_of(info.result))};
+  }
   switch (op) {
     case Opcode::I32Eqz:
     case Opcode::I64Eqz:
       return {ValType::I32,
-              env.bool_to_bv32(x.e == env.bv(0, x.bits())).simplify()};
+              env.simplify(env.bool_to_bv32(x.e == env.bv(0, x.bits())))};
     case Opcode::I32WrapI64:
-      return {ValType::I32, x.e.extract(31, 0).simplify()};
+      return {ValType::I32, env.simplify(x.e.extract(31, 0))};
     case Opcode::I64ExtendI32S:
-      return {ValType::I64, z3::sext(x.e, 32).simplify()};
+      return {ValType::I64, env.simplify(z3::sext(x.e, 32))};
     case Opcode::I64ExtendI32U:
-      return {ValType::I64, z3::zext(x.e, 32).simplify()};
+      return {ValType::I64, env.simplify(z3::zext(x.e, 32))};
     case Opcode::I32ReinterpretF32:
       return {ValType::I32, x.e};
     case Opcode::I64ReinterpretF64:
@@ -79,21 +67,31 @@ SymValue sym_unary(Z3Env& env, Opcode op, const SymValue& x) {
     case Opcode::F64ReinterpretI64:
       return {ValType::F64, x.e};
     default:
-      // clz/ctz/popcnt and all float unaries/conversions: concrete
-      // evaluation or fresh variable.
-      return fallback_unary(env, op, x);
+      // clz/ctz/popcnt and all float unaries/conversions.
+      return fresh_result(env, op);
   }
-  (void)info;
 }
 
 SymValue sym_binary(Z3Env& env, Opcode op, const SymValue& a,
                     const SymValue& b) {
   const auto& info = wasm::op_info(op);
+  const auto va = a.concrete();
+  const auto vb = b.concrete();
+  if (va && vb) {
+    try {
+      const vm::Value r = vm::eval_binary_op(op, vm::Value{a.type, *va},
+                                             vm::Value{b.type, *vb});
+      return {info.result, env.bv(r.bits, width_of(info.result))};
+    } catch (const util::Trap&) {
+      // div/rem by zero and INT_MIN / -1 trap in the interpreter but have
+      // a defined value in bitvector theory: build it through Z3 below.
+    }
+  }
   const auto bv32 = [&](const z3::expr& cond) {
-    return SymValue{ValType::I32, env.bool_to_bv32(cond).simplify()};
+    return SymValue{ValType::I32, env.simplify(env.bool_to_bv32(cond))};
   };
   const auto arith = [&](const z3::expr& e) {
-    return SymValue{info.result, e.simplify()};
+    return SymValue{info.result, env.simplify(e)};
   };
   switch (op) {
     // relational (i32/i64)
@@ -175,7 +173,7 @@ SymValue sym_binary(Z3Env& env, Opcode op, const SymValue& a,
       return arith(rotr_expr(env, a.e, b.e, a.bits()));
     default:
       // Float arithmetic and comparisons.
-      return fallback_binary(env, op, a, b);
+      return fresh_result(env, op);
   }
 }
 

@@ -1,7 +1,7 @@
 // Symbolic counterparts of the Wasm numeric instructions (Table 3's unary /
-// binary rows). Integer ops map directly onto Z3 bitvector theory; float
-// ops evaluate concretely when both operands are concrete and degrade to
-// fresh variables otherwise.
+// binary rows). All-concrete operands are evaluated with the interpreter's
+// semantics; otherwise integer ops map directly onto Z3 bitvector theory and
+// float ops degrade to fresh variables.
 #pragma once
 
 #include "symbolic/symvalue.hpp"

@@ -253,8 +253,8 @@ class ReplayMachine {
         if (cond.is_concrete()) {
           push(cond.concrete().value() != 0 ? v1 : v2);
         } else {
-          push(SymValue{v1.type,
-                        z3::ite(env_.truthy(cond.e), v1.e, v2.e).simplify()});
+          push(SymValue{v1.type, env_.simplify(z3::ite(env_.truthy(cond.e),
+                                                       v1.e, v2.e))});
         }
         return;
       }
@@ -610,12 +610,17 @@ ReplayResult replay(Z3Env& env, const Module& module, const SiteTable& sites,
                     const std::vector<abi::ParamValue>& seed_params,
                     ReplayObserver* observer, obs::Obs* obs) {
   const obs::Span span(obs, obs::span_name::kReplay);
+  const std::uint64_t hits_before = env.simplify_hits();
+  const std::uint64_t misses_before = env.simplify_misses();
   ReplayMachine machine(env, module, sites, trace, site, def, seed_params,
                         observer);
   ReplayResult result = machine.run();
   if (obs != nullptr) {
     obs->count("replay.runs");
     obs->count("replay.events", result.events_replayed);
+    obs->count("replay.simplify_hits", env.simplify_hits() - hits_before);
+    obs->count("replay.simplify_misses",
+               env.simplify_misses() - misses_before);
   }
   return result;
 }

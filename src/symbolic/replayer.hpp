@@ -110,7 +110,8 @@ class ReplayObserver {
 
 /// Replay `trace` starting at the action function identified by `site`.
 /// `module` must be the ORIGINAL (uninstrumented) module. A non-null `obs`
-/// wraps the replay in a `replay` phase span and counts replayed events.
+/// wraps the replay in a `replay` phase span and counts replayed events and
+/// the replay's simplify-memo hits and misses.
 ReplayResult replay(Z3Env& env, const wasm::Module& module,
                     const instrument::SiteTable& sites,
                     const instrument::ActionTrace& trace,

@@ -6,8 +6,11 @@
 
 #include <z3++.h>
 
+#include <array>
 #include <optional>
 #include <string>
+#include <unordered_map>
+#include <utility>
 
 #include "eosvm/value.hpp"
 #include "wasm/types.hpp"
@@ -15,13 +18,42 @@
 namespace wasai::symbolic {
 
 /// Z3 environment shared by one analysis (context + helper constructors).
+/// Its numeral cache and simplify memo live as long as the context, so
+/// their memory is bounded by what one analysis builds.
 class Z3Env {
  public:
   z3::context& ctx() { return ctx_; }
 
-  /// Bitvector constant of the given width.
+  /// Bitvector constant of the given width. 8-, 32- and 64-bit numerals
+  /// are cached; Z3 hash-conses numerals, so a hit is the same AST
+  /// `bv_val` would build.
   z3::expr bv(std::uint64_t value, unsigned bits) {
-    return ctx_.bv_val(static_cast<std::uint64_t>(value), bits);
+    auto* cache = numeral_cache(bits);
+    if (cache == nullptr) return ctx_.bv_val(value, bits);
+    const auto it = cache->find(value);
+    if (it != cache->end()) return it->second;
+    return cache->emplace(value, ctx_.bv_val(value, bits)).first->second;
+  }
+
+  /// `e.simplify()`, memoized by AST id. Each entry pins its key: Z3 ids
+  /// are unique only among live ASTs, so an unpinned key could be freed
+  /// and its id handed to a different term.
+  z3::expr simplify(const z3::expr& e) {
+    const auto it = simplified_.find(e.id());
+    if (it != simplified_.end()) {
+      ++simplify_hits_;
+      return it->second.second;
+    }
+    ++simplify_misses_;
+    z3::expr result = e.simplify();
+    simplified_.emplace(e.id(), std::make_pair(e, result));
+    return result;
+  }
+
+  /// Memo outcomes of simplify() so far.
+  [[nodiscard]] std::uint64_t simplify_hits() const { return simplify_hits_; }
+  [[nodiscard]] std::uint64_t simplify_misses() const {
+    return simplify_misses_;
   }
 
   /// Fresh named bitvector variable.
@@ -45,8 +77,27 @@ class Z3Env {
   }
 
  private:
+  std::unordered_map<std::uint64_t, z3::expr>* numeral_cache(unsigned bits) {
+    switch (bits) {
+      case 8:
+        return &numerals_[0];
+      case 32:
+        return &numerals_[1];
+      case 64:
+        return &numerals_[2];
+      default:
+        return nullptr;
+    }
+  }
+
   z3::context ctx_;
   std::uint64_t fresh_counter_ = 0;
+  std::uint64_t simplify_hits_ = 0;
+  std::uint64_t simplify_misses_ = 0;
+  // Both caches hold ASTs of ctx_, so they are declared after it and
+  // destroyed before it.
+  std::array<std::unordered_map<std::uint64_t, z3::expr>, 3> numerals_;
+  std::unordered_map<unsigned, std::pair<z3::expr, z3::expr>> simplified_;
 };
 
 /// One Wasm stack slot under symbolic execution.

@@ -6,12 +6,15 @@
 #include "abi/serializer.hpp"
 #include "chain/controller.hpp"
 #include "corpus/contract_builder.hpp"
+#include "corpus/obfuscator.hpp"
+#include "corpus/templates.hpp"
 #include "instrument/instrumenter.hpp"
 #include "instrument/trace_sink.hpp"
 #include "symbolic/ops.hpp"
 #include "symbolic/parallel_solver.hpp"
 #include "symbolic/solver.hpp"
 #include "util/rng.hpp"
+#include "wasm/decoder.hpp"
 #include "wasm/encoder.hpp"
 
 namespace wasai::symbolic {
@@ -761,6 +764,338 @@ TEST(Replay, DbApiCallsRecordedWithConcreteArgs) {
             name("tab").value());
   ASSERT_TRUE(r.api_calls[0].ret.has_value());
   EXPECT_EQ(r.api_calls[0].ret->s32(), -1);  // row absent
+}
+
+// ------------------------------------------------- concrete fold parity
+
+/// The bitvector encoding sym_unary uses for a symbolic operand, built
+/// with the raw context so neither Z3Env cache is involved.
+z3::expr z3_unary_term(z3::context& c, Opcode op, const z3::expr& x) {
+  switch (op) {
+    case Opcode::I32Eqz:
+    case Opcode::I64Eqz:
+      return z3::ite(x == c.bv_val(0, x.get_sort().bv_size()),
+                     c.bv_val(1, 32), c.bv_val(0, 32));
+    case Opcode::I32WrapI64:
+      return x.extract(31, 0);
+    case Opcode::I64ExtendI32S:
+      return z3::sext(x, 32);
+    case Opcode::I64ExtendI32U:
+      return z3::zext(x, 32);
+    default:  // the four reinterprets keep the bit pattern
+      return x;
+  }
+}
+
+/// The bitvector encoding sym_binary uses for symbolic operands.
+z3::expr z3_binary_term(z3::context& c, Opcode op, const z3::expr& a,
+                        const z3::expr& b) {
+  const unsigned w = a.get_sort().bv_size();
+  const z3::expr k = b & c.bv_val(w - 1, w);
+  const auto bool32 = [&](const z3::expr& cond) {
+    return z3::ite(cond, c.bv_val(1, 32), c.bv_val(0, 32));
+  };
+  switch (op) {
+    case Opcode::I32Eq:
+    case Opcode::I64Eq:
+      return bool32(a == b);
+    case Opcode::I32Ne:
+    case Opcode::I64Ne:
+      return bool32(a != b);
+    case Opcode::I32LtS:
+    case Opcode::I64LtS:
+      return bool32(a < b);
+    case Opcode::I32LtU:
+    case Opcode::I64LtU:
+      return bool32(z3::ult(a, b));
+    case Opcode::I32GtS:
+    case Opcode::I64GtS:
+      return bool32(a > b);
+    case Opcode::I32GtU:
+    case Opcode::I64GtU:
+      return bool32(z3::ugt(a, b));
+    case Opcode::I32LeS:
+    case Opcode::I64LeS:
+      return bool32(a <= b);
+    case Opcode::I32LeU:
+    case Opcode::I64LeU:
+      return bool32(z3::ule(a, b));
+    case Opcode::I32GeS:
+    case Opcode::I64GeS:
+      return bool32(a >= b);
+    case Opcode::I32GeU:
+    case Opcode::I64GeU:
+      return bool32(z3::uge(a, b));
+    case Opcode::I32Add:
+    case Opcode::I64Add:
+      return a + b;
+    case Opcode::I32Sub:
+    case Opcode::I64Sub:
+      return a - b;
+    case Opcode::I32Mul:
+    case Opcode::I64Mul:
+      return a * b;
+    case Opcode::I32DivS:
+    case Opcode::I64DivS:
+      return a / b;
+    case Opcode::I32DivU:
+    case Opcode::I64DivU:
+      return z3::udiv(a, b);
+    case Opcode::I32RemS:
+    case Opcode::I64RemS:
+      return z3::srem(a, b);
+    case Opcode::I32RemU:
+    case Opcode::I64RemU:
+      return z3::urem(a, b);
+    case Opcode::I32And:
+    case Opcode::I64And:
+      return a & b;
+    case Opcode::I32Or:
+    case Opcode::I64Or:
+      return a | b;
+    case Opcode::I32Xor:
+    case Opcode::I64Xor:
+      return a ^ b;
+    case Opcode::I32Shl:
+    case Opcode::I64Shl:
+      return z3::shl(a, k);
+    case Opcode::I32ShrS:
+    case Opcode::I64ShrS:
+      return z3::ashr(a, k);
+    case Opcode::I32ShrU:
+    case Opcode::I64ShrU:
+      return z3::lshr(a, k);
+    case Opcode::I32Rotl:
+    case Opcode::I64Rotl:
+      return z3::shl(a, k) | z3::lshr(a, c.bv_val(w, w) - k);
+    case Opcode::I32Rotr:
+    case Opcode::I64Rotr:
+      return z3::lshr(a, k) | z3::shl(a, c.bv_val(w, w) - k);
+    default:
+      throw util::UsageError("no bitvector encoding");
+  }
+}
+
+/// 0, 1, all-ones, INT_MIN and the shift/rotate counts 0/31/32/63/64/65,
+/// truncated to the operand width.
+std::vector<std::uint64_t> edge_operands(unsigned bits) {
+  const std::uint64_t mask = bits == 64 ? ~0ull : (1ull << bits) - 1;
+  std::vector<std::uint64_t> out;
+  for (const std::uint64_t v :
+       {0ull, 1ull, ~0ull, 1ull << (bits - 1), 31ull, 32ull, 63ull, 64ull,
+        65ull}) {
+    out.push_back(v & mask);
+  }
+  return out;
+}
+
+bool interpreter_traps(Opcode op, const vm::Value& a, const vm::Value& b) {
+  try {
+    vm::eval_binary_op(op, a, b);
+    return false;
+  } catch (const util::Trap&) {
+    return true;
+  }
+}
+
+TEST(SymOps, ConcreteFoldMatchesSimplifiedBitvectorTerm) {
+  const Opcode unary_ops[] = {
+      Opcode::I32Eqz,            Opcode::I64Eqz,
+      Opcode::I32WrapI64,        Opcode::I64ExtendI32S,
+      Opcode::I64ExtendI32U,     Opcode::I32ReinterpretF32,
+      Opcode::I64ReinterpretF64, Opcode::F32ReinterpretI32,
+      Opcode::F64ReinterpretI64};
+  for (const Opcode op : unary_ops) {
+    Z3Env env;
+    const ValType t = wasm::op_info(op).operand;
+    const unsigned bits = (t == ValType::I32 || t == ValType::F32) ? 32 : 64;
+    for (const std::uint64_t x : edge_operands(bits)) {
+      const SymValue got = sym_unary(env, op, SymValue{t, env.bv(x, bits)});
+      const z3::expr want =
+          z3_unary_term(env.ctx(), op, env.ctx().bv_val(x, bits)).simplify();
+      ASSERT_TRUE(want.is_numeral());
+      EXPECT_EQ(got.e.id(), want.id())
+          << wasm::op_info(op).name << " x=" << x;
+      EXPECT_EQ(got.type, wasm::op_info(op).result);
+    }
+  }
+
+  std::size_t binary_ops = 0;
+  std::size_t trapping_pairs = 0;
+  for (int raw = 0; raw < 256; ++raw) {
+    if (!wasm::is_known_opcode(static_cast<std::uint8_t>(raw))) continue;
+    const auto op = static_cast<Opcode>(raw);
+    const auto& info = wasm::op_info(op);
+    if (info.cls != wasm::OpClass::Binary ||
+        (info.operand != ValType::I32 && info.operand != ValType::I64)) {
+      continue;
+    }
+    ++binary_ops;
+    Z3Env env;
+    const ValType t = info.operand;
+    const unsigned bits = t == ValType::I32 ? 32 : 64;
+    for (const std::uint64_t x : edge_operands(bits)) {
+      for (const std::uint64_t y : edge_operands(bits)) {
+        // Trapping pairs (div/rem by zero, INT_MIN / -1) must take the
+        // Z3 path, so they too must equal the simplified term.
+        if (interpreter_traps(op, vm::Value{t, x}, vm::Value{t, y})) {
+          ++trapping_pairs;
+        }
+        const SymValue got = sym_binary(env, op, SymValue{t, env.bv(x, bits)},
+                                        SymValue{t, env.bv(y, bits)});
+        const z3::expr want =
+            z3_binary_term(env.ctx(), op, env.ctx().bv_val(x, bits),
+                           env.ctx().bv_val(y, bits))
+                .simplify();
+        ASSERT_TRUE(want.is_numeral()) << info.name;
+        EXPECT_EQ(got.e.id(), want.id())
+            << info.name << " x=" << x << " y=" << y;
+        EXPECT_EQ(got.type, info.result);
+      }
+    }
+  }
+  EXPECT_EQ(binary_ops, 50u);  // 10 relational + 15 arithmetic, x2 widths
+  EXPECT_GT(trapping_pairs, 0u);
+}
+
+TEST(SymOps, TrappingConcreteOperandsKeepBitvectorSemantics) {
+  Z3Env env;
+  const auto i32 = [&](std::uint64_t v) {
+    return SymValue{ValType::I32, env.bv(v, 32)};
+  };
+  const auto i64 = [&](std::uint64_t v) {
+    return SymValue{ValType::I64, env.bv(v, 64)};
+  };
+  // SMT-LIB: x udiv 0 = all-ones, x urem 0 = x, INT_MIN sdiv -1 = INT_MIN.
+  EXPECT_EQ(sym_binary(env, Opcode::I32DivU, i32(7), i32(0)).concrete(),
+            0xffffffffull);
+  EXPECT_EQ(sym_binary(env, Opcode::I64RemU, i64(7), i64(0)).concrete(), 7u);
+  EXPECT_EQ(sym_binary(env, Opcode::I32DivS, i32(0x80000000u),
+                       i32(0xffffffffu))
+                .concrete(),
+            0x80000000u);
+  EXPECT_EQ(sym_binary(env, Opcode::I64DivS, i64(1ull << 63), i64(~0ull))
+                .concrete(),
+            1ull << 63);
+  // A concrete float truncation of NaN has no bitvector term: it traps.
+  const SymValue nan{ValType::F32, env.bv(0x7fc00000u, 32)};
+  EXPECT_THROW(sym_unary(env, Opcode::I32TruncF32S, nan), util::Trap);
+}
+
+// ----------------------------------------------------------- Z3Env caches
+
+TEST(Z3EnvCache, NumeralsAndSimplifyMatchUncachedCalls) {
+  Z3Env env;
+  for (const unsigned bits : {8u, 16u, 32u, 64u}) {
+    const std::uint64_t mask = bits == 64 ? ~0ull : (1ull << bits) - 1;
+    for (const std::uint64_t v : {0ull, 1ull, 0x7full, 0x1234ull, ~0ull}) {
+      const z3::expr cached = env.bv(v & mask, bits);
+      EXPECT_EQ(cached.id(), env.ctx().bv_val(v & mask, bits).id());
+      EXPECT_EQ(env.bv(v & mask, bits).id(), cached.id());
+    }
+  }
+
+  const z3::expr x = env.var("x", 32);
+  const z3::expr terms[] = {
+      (x + env.bv(0, 32)) * env.bv(1, 32),
+      z3::ite(x == x, x, env.bv(0, 32)),
+      z3::concat(x.extract(31, 16), x.extract(15, 0)),
+      z3::sext(x, 32).extract(31, 0) ^ env.bv(0, 32),
+  };
+  for (const z3::expr& t : terms) {
+    EXPECT_EQ(env.simplify(t).id(), t.simplify().id()) << t;
+  }
+  EXPECT_EQ(env.simplify_misses(), std::size(terms));
+  EXPECT_EQ(env.simplify_hits(), 0u);
+  for (const z3::expr& t : terms) {
+    EXPECT_EQ(env.simplify(t).id(), t.simplify().id()) << t;
+  }
+  EXPECT_EQ(env.simplify_hits(), std::size(terms));
+}
+
+TEST(Z3EnvCache, MemoHitSurvivesFreedTemporaries) {
+  Z3Env env;
+  const z3::expr x = env.var("x", 64);
+  const z3::expr kept = (x + env.bv(5, 64)) - env.bv(5, 64);
+  const z3::expr kept_simplified = env.simplify(kept);
+  for (std::uint64_t i = 0; i < 4000; ++i) {
+    // Each term dies at the end of its iteration. A memo that did not pin
+    // its keys would see the next term reuse the id and answer with this
+    // term's result.
+    const z3::expr t = (x ^ env.ctx().bv_val(i, 64)) +
+                       env.ctx().bv_val(i * 7 + 1, 64);
+    ASSERT_TRUE(z3::eq(env.simplify(t), t.simplify())) << t;
+    const z3::expr garbage = (x * env.ctx().bv_val(i + 3, 64)).simplify();
+    ASSERT_FALSE(garbage.is_numeral());
+  }
+  const std::uint64_t hits = env.simplify_hits();
+  EXPECT_TRUE(z3::eq(env.simplify(kept), kept_simplified));
+  EXPECT_TRUE(z3::eq(kept_simplified, kept.simplify()));
+  EXPECT_EQ(env.simplify_hits(), hits + 1);
+}
+
+// --------------------------------------------------- replay determinism
+
+TEST(Replay, ObfuscatedTraceReplaysToIdenticalTerms) {
+  util::Rng rng(12);
+  corpus::TemplateOptions opts;
+  opts.verification_depth = 2;
+  const corpus::Sample sample = corpus::make_fake_eos_sample(rng, true, opts);
+  const wasm::Module original = corpus::obfuscate(wasm::decode(sample.wasm));
+  const Instrumented inst = instrument::instrument(original);
+  instrument::TraceSink sink;
+  chain::Controller chain;
+  chain.set_observer(&sink);
+  chain.deploy_contract(name("victim"), wasm::encode(inst.module), sample.abi);
+  chain.create_account(name("attacker"));
+
+  const abi::ActionDef def = abi::transfer_action_def();
+  const std::vector<ParamValue> params = default_seed(5);
+  chain::Action act;
+  act.account = name("victim");
+  act.name = name("transfer");
+  act.authorization = {chain::active(name("attacker"))};
+  act.data = abi::pack(def, params);
+  chain.push_transaction(chain::Transaction{{act}});
+  const auto traces = sink.actions_of(name("victim"));
+  ASSERT_FALSE(traces.empty());
+  const instrument::ActionTrace& trace = *traces.front();
+  const auto site = locate_action_call(trace, inst.sites, original,
+                                       def.params.size() + 1);
+  ASSERT_TRUE(site.has_value());
+
+  Z3Env env;
+  const ReplayResult first =
+      replay(env, original, inst.sites, trace, *site, def, params);
+  const std::uint64_t hits_after_first = env.simplify_hits();
+  const ReplayResult second =
+      replay(env, original, inst.sites, trace, *site, def, params);
+  Z3Env fresh;
+  const ReplayResult other =
+      replay(fresh, original, inst.sites, trace, *site, def, params);
+  EXPECT_GT(env.simplify_hits(), hits_after_first);
+
+  ASSERT_FALSE(first.path.empty());
+  ASSERT_EQ(second.path.size(), first.path.size());
+  ASSERT_EQ(other.path.size(), first.path.size());
+  const auto same_term = [](const std::optional<z3::expr>& a,
+                            const std::optional<z3::expr>& b, bool by_id) {
+    if (a.has_value() != b.has_value()) return false;
+    if (!a.has_value()) return true;
+    return by_id ? a->id() == b->id() : a->to_string() == b->to_string();
+  };
+  for (std::size_t i = 0; i < first.path.size(); ++i) {
+    const PathStep& p = first.path[i];
+    for (const PathStep* q : {&second.path[i], &other.path[i]}) {
+      EXPECT_EQ(q->site, p.site) << i;
+      EXPECT_EQ(q->taken, p.taken) << i;
+      EXPECT_EQ(q->can_flip, p.can_flip) << i;
+    }
+    EXPECT_TRUE(same_term(p.hold, second.path[i].hold, true)) << i;
+    EXPECT_TRUE(same_term(p.flip, second.path[i].flip, true)) << i;
+    EXPECT_TRUE(same_term(p.hold, other.path[i].hold, false)) << i;
+    EXPECT_TRUE(same_term(p.flip, other.path[i].flip, false)) << i;
+  }
 }
 
 }  // namespace
