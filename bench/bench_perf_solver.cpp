@@ -1,14 +1,15 @@
 // Solver performance suite: fuzzes the committed corpus with the
-// incremental path-prefix walk and the cross-iteration query cache toggled
-// independently, and writes BENCH_solver.json with per-config throughput
-// (transactions/sec), solver wall time, Z3 query counts and cache hit
-// rates.
+// cross-iteration query cache off and on, and with the cache plus the
+// parallel worker pool, and writes BENCH_solver.json with per-config
+// throughput (transactions/sec), solver wall time, Z3 query counts and
+// cache hit rates.
 //
-// The suite doubles as an end-to-end parity gate: all four configurations
+// The suite doubles as an end-to-end parity gate: all three configurations
 // must produce identical findings, adaptive-seed counts and coverage for
 // every contract — the solver layer guarantees byte-identical seed
-// streams, so ANY downstream divergence fails the bench (exit 1). CI runs
-// this on every push.
+// streams, so ANY downstream divergence fails the bench (exit 1). The
+// `parallel_cached` config keeps the workers' SMT-LIB2 export path gated
+// against the serial in-context path. CI runs this on every push.
 //
 // Corpus: the `examples/wasm/testgen_<seed>.wasm` modules (regenerated
 // from the seed encoded in the filename, which also yields their ABIs)
@@ -50,8 +51,8 @@ struct Contract {
 
 struct Config {
   std::string name;
-  bool incremental;
   bool cache;
+  bool parallel;
 };
 
 /// What each configuration must reproduce exactly, per contract. Seeds are
@@ -152,8 +153,8 @@ ConfigTotals run_config(const std::vector<Contract>& corpus,
     options.fuzz.iterations = iterations;
     options.fuzz.rng_seed = 1;
     options.fuzz.obs = &obs;
-    options.fuzz.solver.incremental = config.incremental;
     options.fuzz.solver_cache = config.cache;
+    options.fuzz.parallel_solving = config.parallel;
     const auto result = analyze(contract.wasm, contract.abi, options);
     const auto& d = result.details;
     totals.solver_wall_ms += d.solver_wall_ms;
@@ -211,10 +212,9 @@ int main() {
               corpus.size(), iterations);
 
   const Config configs[] = {
-      {"legacy", false, false},
-      {"incremental", true, false},
-      {"cached", false, true},
-      {"incremental_cached", true, true},
+      {"uncached", false, false},
+      {"cached", true, false},
+      {"parallel_cached", true, true},
   };
 
   std::map<std::string, ConfigTotals> totals;
@@ -232,10 +232,10 @@ int main() {
         100.0 * t.hit_rate(), t.transactions_per_sec(), secs);
   }
 
-  // Parity gate: every configuration must reproduce the legacy run's
-  // per-contract outcomes exactly.
+  // Parity gate: every configuration must reproduce the uncached serial
+  // run's per-contract outcomes exactly.
   bool parity_ok = true;
-  const auto& reference = totals["legacy"].fingerprints;
+  const auto& reference = totals["uncached"].fingerprints;
   for (const auto& config : configs) {
     if (totals[config.name].fingerprints == reference) continue;
     parity_ok = false;
@@ -246,15 +246,16 @@ int main() {
     }
   }
 
-  const ConfigTotals& legacy = totals["legacy"];
-  const ConfigTotals& best = totals["incremental_cached"];
-  const bool wall_reduced = best.solver_wall_ms < legacy.solver_wall_ms;
-  const bool queries_reduced = best.queries < legacy.queries;
+  const ConfigTotals& uncached = totals["uncached"];
+  const ConfigTotals& cached = totals["cached"];
+  const bool wall_reduced = cached.solver_wall_ms < uncached.solver_wall_ms;
+  const bool queries_reduced = cached.queries < uncached.queries;
   std::printf(
-      "incremental+cached vs legacy: solver wall %.1f -> %.1f ms (%s), "
+      "cached vs uncached: solver wall %.1f -> %.1f ms (%s), "
       "queries %zu -> %zu (%s), parity %s\n",
-      legacy.solver_wall_ms, best.solver_wall_ms,
-      wall_reduced ? "reduced" : "NOT reduced", legacy.queries, best.queries,
+      uncached.solver_wall_ms, cached.solver_wall_ms,
+      wall_reduced ? "reduced" : "NOT reduced", uncached.queries,
+      cached.queries,
       queries_reduced ? "reduced" : "NOT reduced",
       parity_ok ? "ok" : "DIVERGED");
 

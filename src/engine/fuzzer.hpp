@@ -233,6 +233,8 @@ class Fuzzer {
   Dbg dbg_;
   scanner::Scanner scanner_;
   symbolic::Z3Env env_;
+  /// Declared after env_: the cache pins terms of env_'s context, so it
+  /// must be destroyed first.
   std::unique_ptr<symbolic::SolverCache> solver_cache_;
   FuzzReport report_;
   std::vector<abi::Name> action_rotation_;

@@ -76,6 +76,13 @@ AdaptiveSeeds solve_flips_parallel(Z3Env& env, const ReplayResult& replay,
   // lands sat), diverging from the serial seed stream.
   std::unordered_map<std::uint64_t, std::size_t> first_by_key;
   std::size_t slots_used = 0;  // flips counted against max_flips
+  const auto push_hold = [&](const PathStep& step) {
+    if (step.hold) {
+      prefix.push_back(&*step.hold);
+      if (exporter.has_value()) exporter->add(*step.hold);
+      if (options.cache != nullptr) options.cache->extend(digest, *step.hold);
+    }
+  };
   for (std::size_t k = 0;
        k < replay.path.size() && slots_used < options.max_flips; ++k) {
     const PathStep& step = replay.path[k];
@@ -91,16 +98,12 @@ AdaptiveSeeds solve_flips_parallel(Z3Env& env, const ReplayResult& replay,
         pending.pruned = true;
         if (!options.pruned_flips_free_budget) ++slots_used;
         flips.push_back(std::move(pending));
-        if (step.hold) {
-          prefix.push_back(&*step.hold);
-          if (exporter.has_value()) exporter->add(*step.hold);
-          if (options.cache != nullptr) digest.extend(*step.hold);
-        }
+        push_hold(step);
         continue;
       }
       ++slots_used;
       if (options.cache != nullptr) {
-        pending.key = digest.flip_key(*step.flip);
+        pending.key = options.cache->flip_key(digest, *step.flip);
         if (const CacheEntry* hit = options.cache->lookup(pending.key)) {
           pending.hit = *hit;
         } else {
@@ -125,11 +128,7 @@ AdaptiveSeeds solve_flips_parallel(Z3Env& env, const ReplayResult& replay,
       }
       flips.push_back(std::move(pending));
     }
-    if (step.hold) {
-      prefix.push_back(&*step.hold);
-      if (exporter.has_value()) exporter->add(*step.hold);
-      if (options.cache != nullptr) digest.extend(*step.hold);
-    }
+    push_hold(step);
   }
 
   // Fan the cache misses out over the worker pool (first instances only —
@@ -143,7 +142,7 @@ AdaptiveSeeds solve_flips_parallel(Z3Env& env, const ReplayResult& replay,
     }
   }
   std::vector<QueryResult> results(flips.size());
-  std::size_t next = 0;
+  std::size_t next = 0;  // also the number of worker queries started
   bool stop = false;
   std::mutex mu;
   std::vector<std::thread> pool;
@@ -166,7 +165,6 @@ AdaptiveSeeds solve_flips_parallel(Z3Env& env, const ReplayResult& replay,
           solve_smt2_query(flips[index].smt2, options.timeout_ms, hard_ms),
           true};
       if (options.obs != nullptr) {
-        options.obs->count("solver.queries");
         options.obs->latency_us("solver.query_us",
                                 ms_since(query_begin) * 1000.0);
       }
@@ -185,7 +183,6 @@ AdaptiveSeeds solve_flips_parallel(Z3Env& env, const ReplayResult& replay,
   // sat/unsat verdicts feed the cache for later iterations.
   const auto consume_cached = [&](const CacheEntry& entry) {
     ++out.cache_hits;
-    if (options.obs != nullptr) options.obs->count("solver.cache_hits");
     if (entry.verdict == CachedVerdict::Sat) {
       ++out.sat;
       out.seeds.push_back(
@@ -229,11 +226,11 @@ AdaptiveSeeds solve_flips_parallel(Z3Env& env, const ReplayResult& replay,
       }
     }
   };
+  std::size_t z3_checks = next;
   for (std::size_t i = 0; i < flips.size(); ++i) {
     const PendingFlip& pending = flips[i];
     if (pending.pruned) {
       ++out.pruned;
-      if (options.obs != nullptr) options.obs->count("solver.flips_pruned");
       continue;
     }
     if (pending.dup_of.has_value()) {
@@ -257,8 +254,8 @@ AdaptiveSeeds solve_flips_parallel(Z3Env& env, const ReplayResult& replay,
       const auto query_begin = Clock::now();
       const SmtQueryResult requeried = solve_smt2_query(
           flips[*pending.dup_of].smt2, options.timeout_ms, hard_ms);
+      ++z3_checks;
       if (options.obs != nullptr) {
-        options.obs->count("solver.queries");
         options.obs->latency_us("solver.query_us",
                                 ms_since(query_begin) * 1000.0);
       }
@@ -278,6 +275,7 @@ AdaptiveSeeds solve_flips_parallel(Z3Env& env, const ReplayResult& replay,
     consume_solved(results[i].result, pending.key);
   }
   out.wall_ms = ms_since(start);
+  count_solver_call(options.obs, out, z3_checks);
   return out;
 }
 

@@ -9,7 +9,8 @@
 // scope, so one call issues O(path) assertions (the legacy exporter
 // re-asserted the prefix per flip, O(path²)). With a SolverOptions::cache,
 // already-decided flips are answered in the coordinator pre-pass and never
-// reach a worker; freshly solved sat/unsat verdicts are inserted at merge
+// reach a worker (keys come from SolverCache::extend/flip_key, the same
+// pinning key function as the serial walk); freshly solved sat/unsat verdicts are inserted at merge
 // time. Identical flip queries inside the SAME call are deduplicated in
 // the pre-pass: only the first instance is dispatched, and each duplicate
 // is resolved at merge time exactly as the serial walk would — from the

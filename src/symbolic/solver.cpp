@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <optional>
 
 namespace wasai::symbolic {
 
@@ -91,15 +90,20 @@ std::vector<ParamValue> seed_from_model_values(
   return mutated;
 }
 
-SmtQueryResult solve_smt2_query(const std::string& smt2, unsigned timeout_ms,
-                                double hard_ms) {
-  SmtQueryResult out;
-  z3::context ctx;
+namespace {
+
+/// A solver on `ctx` carrying the per-query soft timeout.
+z3::solver make_solver(z3::context& ctx, unsigned timeout_ms) {
   z3::solver solver(ctx);
   z3::params p(ctx);
   p.set("timeout", timeout_ms);
   solver.set(p);
-  solver.from_string(smt2.c_str());
+  return solver;
+}
+
+/// Check the asserted query and classify it against the hard wall cap.
+SmtQueryResult check_query(z3::solver& solver, double hard_ms) {
+  SmtQueryResult out;
   const auto start = Clock::now();
   const auto verdict = solver.check();
   if (verdict == z3::unsat) {
@@ -117,6 +121,38 @@ SmtQueryResult solve_smt2_query(const std::string& smt2, unsigned timeout_ms,
   return out;
 }
 
+/// Decide "prefix AND flip" with a fresh solver in the context that built
+/// the terms. The solver is torn down before this returns, so a caller
+/// timing the call times the query's whole Z3 cost.
+SmtQueryResult solve_in_context(z3::context& ctx,
+                                const std::vector<const z3::expr*>& prefix,
+                                const z3::expr& flip, unsigned timeout_ms,
+                                double hard_ms) {
+  z3::solver solver = make_solver(ctx, timeout_ms);
+  // Path prefix must stay feasible (§3.4.4: AND of prior constraints).
+  for (const z3::expr* hold : prefix) solver.add(*hold);
+  solver.add(flip);
+  return check_query(solver, hard_ms);
+}
+
+}  // namespace
+
+SmtQueryResult solve_smt2_query(const std::string& smt2, unsigned timeout_ms,
+                                double hard_ms) {
+  z3::context ctx;
+  z3::solver solver = make_solver(ctx, timeout_ms);
+  solver.from_string(smt2.c_str());
+  return check_query(solver, hard_ms);
+}
+
+void count_solver_call(obs::Obs* obs, const AdaptiveSeeds& out,
+                       std::size_t z3_checks) {
+  if (obs == nullptr) return;
+  if (z3_checks != 0) obs->count("solver.queries", z3_checks);
+  if (out.cache_hits != 0) obs->count("solver.cache_hits", out.cache_hits);
+  if (out.pruned != 0) obs->count("solver.flips_pruned", out.pruned);
+}
+
 AdaptiveSeeds solve_flips(Z3Env& env, const ReplayResult& replay,
                           const std::vector<ParamValue>& seed_params,
                           const SolverOptions& opts) {
@@ -126,22 +162,13 @@ AdaptiveSeeds solve_flips(Z3Env& env, const ReplayResult& replay,
   const auto start = Clock::now();
   const double hard_ms = opts.effective_hard_timeout_ms();
 
-  // Incremental mode: one walker solver accumulates holds across the whole
-  // walk; each flip is serialized from a push() scope and decided in a
-  // fresh context (see the header note on why the walker never check()s
-  // itself). The walker is materialized lazily on the first cache miss —
-  // asserting holds into a Z3 solver costs internalization work, and a
-  // walk whose flips are all answered by the cache should not pay it.
-  // Legacy mode re-asserts the prefix into a fresh solver per flip.
-  std::optional<z3::solver> walker;
   QueryDigest digest;                   // rolling prefix digest (cache keys)
   std::vector<const z3::expr*> prefix;  // holds walked so far
 
   const auto push_hold = [&](const PathStep& step) {
     if (step.hold) {
       prefix.push_back(&*step.hold);
-      if (walker.has_value()) walker->add(*step.hold);
-      if (opts.cache != nullptr) digest.extend(*step.hold);
+      if (opts.cache != nullptr) opts.cache->extend(digest, *step.hold);
     }
   };
   const auto statically_pruned = [&](const PathStep& step) {
@@ -173,7 +200,6 @@ AdaptiveSeeds solve_flips(Z3Env& env, const ReplayResult& replay,
       if (statically_pruned(step)) {
         if (!opts.pruned_flips_free_budget) ++flips_attempted;
         ++out.pruned;
-        if (opts.obs != nullptr) opts.obs->count("solver.flips_pruned");
         push_hold(step);
         continue;
       }
@@ -182,12 +208,11 @@ AdaptiveSeeds solve_flips(Z3Env& env, const ReplayResult& replay,
       QueryKey key;
       const CacheEntry* hit = nullptr;
       if (opts.cache != nullptr) {
-        key = digest.flip_key(*step.flip);
+        key = opts.cache->flip_key(digest, *step.flip);
         hit = opts.cache->lookup(key);
       }
       if (hit != nullptr) {
         ++out.cache_hits;
-        if (opts.obs != nullptr) opts.obs->count("solver.cache_hits");
         if (hit->verdict == CachedVerdict::Sat) {
           ++out.sat;
           out.seeds.push_back(
@@ -201,42 +226,9 @@ AdaptiveSeeds solve_flips(Z3Env& env, const ReplayResult& replay,
         ++out.queries;
 
         const auto query_begin = Clock::now();
-        SmtQueryResult result;
-        if (opts.incremental) {
-          if (!walker.has_value()) {
-            walker.emplace(env.ctx());
-            for (const z3::expr* hold : prefix) walker->add(*hold);
-          }
-          walker->push();
-          walker->add(*step.flip);
-          const std::string smt2 = walker->to_smt2();
-          walker->pop();
-          result = solve_smt2_query(smt2, opts.timeout_ms, hard_ms);
-        } else {
-          z3::solver solver(env.ctx());
-          z3::params p(env.ctx());
-          p.set("timeout", opts.timeout_ms);
-          solver.set(p);
-          // Path prefix must stay feasible (§3.4.4: AND of prior
-          // constraints).
-          for (const z3::expr* hold : prefix) solver.add(*hold);
-          solver.add(*step.flip);
-          const auto query_start = Clock::now();
-          const auto verdict = solver.check();
-          if (verdict == z3::unsat) {
-            result.verdict = SmtQueryResult::Verdict::Unsat;
-          } else if (verdict == z3::sat) {
-            result.verdict = SmtQueryResult::Verdict::Sat;
-          }
-          if (ms_since(query_start) > hard_ms) {
-            result.overshoot = true;
-          } else if (verdict == z3::sat) {
-            result.model = extract_model_values(solver.get_model());
-          }
-        }
-
+        SmtQueryResult result = solve_in_context(
+            env.ctx(), prefix, *step.flip, opts.timeout_ms, hard_ms);
         if (opts.obs != nullptr) {
-          opts.obs->count("solver.queries");
           opts.obs->latency_us("solver.query_us",
                                ms_since(query_begin) * 1000.0);
         }
@@ -273,6 +265,7 @@ AdaptiveSeeds solve_flips(Z3Env& env, const ReplayResult& replay,
     push_hold(step);
   }
   out.wall_ms = ms_since(start);
+  count_solver_call(opts.obs, out, out.queries);
   return out;
 }
 

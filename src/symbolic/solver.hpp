@@ -2,21 +2,20 @@
 // conditional state, conjoin the path prefix, and ask Z3 for a model —
 // each model becomes an adaptive seed.
 //
-// Two serial strategies share one walk:
-//  * incremental (default): a single walker z3::solver accumulates the
-//    path prefix once — assert hold k, push, assert flip, serialize, pop,
-//    continue — so one solve_flips call issues O(path) constraint
-//    assertions; each serialized flip query is decided in a fresh context
-//    (the exact procedure the parallel workers use). Checking directly on
-//    the walker would avoid the serialization, but Z3's incremental engine
-//    picks different models than a one-shot solver for the same query
-//    (measured: the majority of sat models differ), which would break the
-//    cross-mode seed parity this repo guarantees. The SMT-LIB2 round trip
-//    is model-stable: fresh-context from_string reproduces the one-shot
-//    models bit-for-bit.
-//  * legacy (incremental = false): a fresh solver per flip re-asserts the
-//    whole prefix, O(path²) assertions per call. Kept as the reference
-//    implementation the parity tests and the perf bench compare against.
+// One serial path: each flip is decided by a fresh z3::solver in the
+// analysis's own Z3 context (the Z3Env that built the terms), asserting the
+// path-prefix holds and the flip. Nothing is printed or parsed — the terms
+// are already internalized in that context, so the solver works on them
+// directly. Parallel workers (parallel_solver.hpp) cannot share the
+// context, since Z3 contexts are single-threaded; they receive each query
+// exported as SMT-LIB2 and decide it in a context of their own
+// (solve_smt2_query). That round trip reproduces the in-context models
+// bit-for-bit, which is what keeps the serial and parallel seed streams
+// identical; the parity tests and bench_perf_solver gate it. A solver that
+// accumulates the prefix incrementally and check()s each flip under
+// push/pop is NOT an option: Z3's incremental engine picks different
+// models than a one-shot solver for the same query, which would change
+// the seeds.
 // An optional cross-iteration SolverCache short-circuits queries that were
 // already decided in an earlier iteration (see solver_cache.hpp).
 #pragma once
@@ -30,10 +29,6 @@ namespace wasai::symbolic {
 struct SolverOptions {
   unsigned timeout_ms = 200;    // per-query budget (paper used 3,000 ms)
   std::size_t max_flips = 24;   // cap on flip targets per executed seed
-  /// Incremental path-prefix solving (see header note). Off = legacy
-  /// fresh-solver-per-flip; parity between the two is tested, and the perf
-  /// bench toggles this knob.
-  bool incremental = true;
   /// Cross-iteration query cache; not owned, may be null (= no caching).
   /// One cache must only ever see queries from one Z3Env.
   SolverCache* cache = nullptr;
@@ -70,8 +65,9 @@ struct SolverOptions {
   const util::CancelToken* cancel = nullptr;
   /// Observability track of the calling thread (may be null = off). The
   /// whole call is wrapped in a `solve_flips` span; per-query wall times
-  /// feed the `solver.query_us` histogram. Parallel workers only touch the
-  /// shared histogram/counters, never the track's span log.
+  /// feed the `solver.query_us` histogram, and the `solver.*` counters are
+  /// emitted once per call (count_solver_call). Parallel workers only
+  /// touch the shared histogram, never the track's span log.
   obs::Obs* obs = nullptr;
 
   [[nodiscard]] unsigned effective_hard_timeout_ms() const {
@@ -117,7 +113,7 @@ std::vector<abi::ParamValue> seed_from_model_values(
     const std::vector<abi::ParamValue>& seed_params,
     const std::vector<InputBinding>& bindings, const ModelValues& values);
 
-/// Outcome of one serialized flip query.
+/// Outcome of one flip query.
 struct SmtQueryResult {
   enum class Verdict : std::uint8_t { Sat, Unsat, Unknown } verdict =
       Verdict::Unknown;
@@ -125,13 +121,19 @@ struct SmtQueryResult {
   bool overshoot = false;  // wall time exceeded hard_ms; model discarded
 };
 
-/// Decide one SMT-LIB2 query in a fresh Z3 context. The single solving
-/// procedure behind both the serial incremental walk and the parallel
-/// workers — using exactly one procedure everywhere is what makes the
-/// emitted seed stream identical across modes. Safe to call from any
-/// thread (the context is function-local).
+/// Decide one SMT-LIB2 query in a fresh Z3 context: how the parallel
+/// workers, which cannot use the analysis's context, decide a flip. Same
+/// timeout and hard-cap classification as the serial in-context check.
+/// Safe to call from any thread (the context is function-local).
 SmtQueryResult solve_smt2_query(const std::string& smt2, unsigned timeout_ms,
                                 double hard_ms);
+
+/// Emit one solve call's `solver.queries` (`z3_checks` Z3 calls),
+/// `solver.cache_hits` and `solver.flips_pruned` counters, each once and
+/// only when non-zero. The walks tally per flip and report here because
+/// every Obs::count takes the registry lock. No-op for a null `obs`.
+void count_solver_call(obs::Obs* obs, const AdaptiveSeeds& out,
+                       std::size_t z3_checks);
 
 /// Solve every flippable conditional of `replay` against the path prefix,
 /// mapping each model back onto the executed seed's parameters through the

@@ -2,26 +2,34 @@
 
 namespace wasai::symbolic {
 
-void QueryDigest::absorb(util::Digest& d, const std::string& text) const {
-  // Length framing keeps constraint boundaries unambiguous under
-  // concatenation ("a" + "bc" vs "ab" + "c").
-  d.u64(text.size());
-  for (const char c : text) d.u8(static_cast<std::uint8_t>(c));
+void QueryDigest::absorb(util::Digest& d, Tag tag, const z3::expr& e) {
+  // Fixed-width words keep constraint boundaries unambiguous; the tag sits
+  // above the 32-bit id.
+  d.u64(static_cast<std::uint64_t>(tag) << 32 | e.id());
 }
 
 void QueryDigest::extend(const z3::expr& hold) {
-  const std::string text = hold.to_string();
-  absorb(primary_, text);
-  absorb(secondary_, text);
+  absorb(primary_, Tag::Hold, hold);
+  absorb(secondary_, Tag::Hold, hold);
 }
 
 QueryKey QueryDigest::flip_key(const z3::expr& flip) const {
-  const std::string text = flip.to_string();
   util::Digest p = primary_;
   util::Digest s = secondary_;
-  absorb(p, text);
-  absorb(s, text);
+  absorb(p, Tag::Flip, flip);
+  absorb(s, Tag::Flip, flip);
   return QueryKey{p.value(), s.value()};
+}
+
+void SolverCache::extend(QueryDigest& digest, const z3::expr& hold) {
+  pins_.try_emplace(hold.id(), hold);
+  digest.extend(hold);
+}
+
+QueryKey SolverCache::flip_key(const QueryDigest& digest,
+                               const z3::expr& flip) {
+  pins_.try_emplace(flip.id(), flip);
+  return digest.flip_key(flip);
 }
 
 const CacheEntry* SolverCache::lookup(const QueryKey& key) {

@@ -1,5 +1,6 @@
 // Unit tests for the cross-iteration flip-query cache: digest key
-// stability, hit/miss/eviction accounting and LRU behavior.
+// stability, pinning of keyed terms, hit/miss/eviction accounting and LRU
+// behavior.
 #include <gtest/gtest.h>
 
 #include "symbolic/replayer.hpp"
@@ -67,6 +68,41 @@ TEST(QueryDigest, VariableNamesAreSignificant) {
   QueryDigest digest;
   EXPECT_NE(digest.flip_key(env.var("p0", 64) == env.bv(7, 64)),
             digest.flip_key(env.var("q0", 64) == env.bv(7, 64)));
+}
+
+/// Key of the query "x == hold AND flip y == flip", computed through the
+/// cache's pinning key function. The two equalities are temporaries: they
+/// die when this returns unless the cache pins them.
+QueryKey pinned_key(SolverCache& cache, Z3Env& env, const z3::expr& x,
+                    const z3::expr& y, std::uint64_t hold,
+                    std::uint64_t flip) {
+  QueryDigest digest;
+  cache.extend(digest, x == env.bv(hold, 64));
+  return cache.flip_key(digest, y == env.bv(flip, 64));
+}
+
+TEST(SolverCache, PinnedKeysSurviveFreedTemporaries) {
+  // Keys are built from AST ids, and Z3 recycles the id of a freed term.
+  // Without pinning, the original query's terms die right after its key is
+  // computed: structurally different queries built next take over their
+  // ids (a false hit), and rebuilding the original after enough churn
+  // yields fresh ids (a false miss).
+  Z3Env env;
+  const z3::expr x = env.var("p0", 64);
+  const z3::expr y = env.var("p1", 64);
+  SolverCache cache(64);
+  const QueryKey original = pinned_key(cache, env, x, y, 7, 1);
+  cache.insert(original, CachedVerdict::Sat, ModelValues{{"p1", 1}});
+
+  for (std::uint64_t i = 0; i < 4000; ++i) {
+    const QueryKey other = pinned_key(cache, env, x, y, 8 + i, 2 + i);
+    ASSERT_NE(other, original) << i;
+    ASSERT_EQ(cache.lookup(other), nullptr) << i;
+  }
+  EXPECT_EQ(pinned_key(cache, env, x, y, 7, 1), original);
+  const CacheEntry* entry = cache.lookup(original);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->verdict, CachedVerdict::Sat);
 }
 
 TEST(SolverCache, MissThenHitWithVerdictAndModelRoundTrip) {

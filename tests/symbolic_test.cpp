@@ -619,27 +619,37 @@ void expect_same_seeds(const AdaptiveSeeds& actual,
   }
 }
 
-TEST(Solver, IncrementalMatchesLegacySeedStream) {
+TEST(Solver, SerialInContextMatchesParallelExport) {
+  // The serial walk decides each flip in the analysis's context; parallel
+  // workers decide the exported SMT-LIB2 text in contexts of their own.
+  // Both must give the same verdicts and seeds, with and without a cache.
   ContractBuilder probe;
   ReplayFixture fx(three_branch_body(probe.env()));
   const auto& trace = fx.run(default_seed(5, "m"));
   const ReplayResult r = fx.replay_last(trace);
   ASSERT_EQ(r.path.size(), 3u);
 
-  SolverOptions legacy_opts;
-  legacy_opts.incremental = false;
-  const auto legacy = solve_flips(fx.env_, r, fx.last_params_, legacy_opts);
-  ASSERT_EQ(legacy.seeds.size(), 3u);
-
-  SolverOptions incremental_opts;
-  incremental_opts.incremental = true;
-  const auto incremental =
-      solve_flips(fx.env_, r, fx.last_params_, incremental_opts);
-  EXPECT_EQ(incremental.queries, legacy.queries);
-  EXPECT_EQ(incremental.sat, legacy.sat);
-  EXPECT_EQ(incremental.unsat, legacy.unsat);
-  EXPECT_EQ(incremental.unknown, legacy.unknown);
-  expect_same_seeds(incremental, legacy, "incremental vs legacy");
+  for (const bool cached : {false, true}) {
+    SolverCache serial_cache(64);
+    SolverCache parallel_cache(64);
+    SolverOptions serial_opts;
+    SolverOptions parallel_opts;
+    if (cached) {
+      serial_opts.cache = &serial_cache;
+      parallel_opts.cache = &parallel_cache;
+    }
+    const auto serial = solve_flips(fx.env_, r, fx.last_params_, serial_opts);
+    ASSERT_EQ(serial.seeds.size(), 3u);
+    const auto parallel =
+        solve_flips_parallel(fx.env_, r, fx.last_params_, parallel_opts, 2);
+    const char* label = cached ? "cached" : "uncached";
+    EXPECT_EQ(parallel.queries, serial.queries) << label;
+    EXPECT_EQ(parallel.sat, serial.sat) << label;
+    EXPECT_EQ(parallel.unsat, serial.unsat) << label;
+    EXPECT_EQ(parallel.unknown, serial.unknown) << label;
+    EXPECT_EQ(parallel.cache_misses, serial.cache_misses) << label;
+    expect_same_seeds(parallel, serial, label);
+  }
 }
 
 TEST(Solver, CachedRerunAnswersEveryFlipWithoutZ3) {

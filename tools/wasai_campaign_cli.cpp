@@ -14,7 +14,6 @@
 //                     deadline to be active)
 //   --retries N       total attempts per contract (default 2)
 //   --parallel        solve flip constraints on a worker pool
-//   --no-incremental  legacy per-flip prefix re-assertion (perf baseline)
 //   --no-solver-cache disable the cross-iteration flip query cache
 //   --solver-cache-capacity N
 //                     cached verdicts kept per contract (default 4096)
@@ -93,7 +92,7 @@ int usage() {
       "usage:\n"
       "  wasai-campaign run <corpus-dir> [--jobs N] [--iterations N]\n"
       "        [--seed N] [--deadline-ms N] [--hung-grace N] [--retries N]\n"
-      "        [--parallel] [--no-incremental] [--no-solver-cache]\n"
+      "        [--parallel] [--no-solver-cache]\n"
       "        [--solver-cache-capacity N] [--no-fastpath]\n"
       "        [--fuzz-shards N] [--no-static] [--static-prioritize]\n"
       "        [--out FILE] [--resume FILE] [--summary FILE]\n"
@@ -129,8 +128,6 @@ int cmd_run(int argc, char** argv) {
       options.max_attempts = std::atoi(argv[++i]);
     } else if (arg == "--parallel") {
       options.fuzz.parallel_solving = true;
-    } else if (arg == "--no-incremental") {
-      options.fuzz.solver.incremental = false;
     } else if (arg == "--no-solver-cache") {
       options.fuzz.solver_cache = false;
     } else if (arg == "--solver-cache-capacity" && i + 1 < argc) {

@@ -9,7 +9,6 @@
 //   --seed N             RNG seed (default 1)
 //   --no-feedback        disable symbolic feedback (blind-fuzzer ablation)
 //   --parallel           solve flip constraints on a worker pool
-//   --no-incremental     legacy per-flip prefix re-assertion (perf baseline)
 //   --no-solver-cache    disable the cross-iteration flip query cache
 //   --solver-cache-capacity N
 //                        cached verdicts kept (default 4096)
@@ -72,10 +71,9 @@ int usage() {
       stderr,
       "usage:\n"
       "  wasai analyze <contract.wasm> <contract.abi> [--iterations N]\n"
-      "        [--seed N] [--no-feedback] [--parallel] [--no-incremental]\n"
-      "        [--no-solver-cache] [--solver-cache-capacity N]\n"
-      "        [--no-fastpath] [--fuzz-shards N] [--no-static]\n"
-      "        [--static-prioritize] [--address-pool]\n"
+      "        [--seed N] [--no-feedback] [--parallel] [--no-solver-cache]\n"
+      "        [--solver-cache-capacity N] [--no-fastpath] [--fuzz-shards N]\n"
+      "        [--no-static] [--static-prioritize] [--address-pool]\n"
       "        [--trace-out FILE]\n"
       "        [--obs-trace FILE] [--no-obs]\n"
       "  wasai emit-sample <fake-eos|fake-notif|miss-auth|blockinfo|"
@@ -123,8 +121,6 @@ int cmd_analyze(int argc, char** argv) {
       options.fuzz.symbolic_feedback = false;
     } else if (arg == "--parallel") {
       options.fuzz.parallel_solving = true;
-    } else if (arg == "--no-incremental") {
-      options.fuzz.solver.incremental = false;
     } else if (arg == "--no-solver-cache") {
       options.fuzz.solver_cache = false;
     } else if (arg == "--solver-cache-capacity" && i + 1 < argc) {
