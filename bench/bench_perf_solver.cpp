@@ -9,7 +9,9 @@
 // every contract — the solver layer guarantees byte-identical seed
 // streams, so ANY downstream divergence fails the bench (exit 1). The
 // `parallel_cached` config keeps the workers' SMT-LIB2 export path gated
-// against the serial in-context path. CI runs this on every push.
+// against the serial in-context path. CI runs this on every push. Two
+// headlines are printed and recorded: "cached vs uncached" and, for
+// information only, "parallel_cached vs cached" solver wall time.
 //
 // Corpus: the `examples/wasm/testgen_<seed>.wasm` modules (regenerated
 // from the seed encoded in the filename, which also yields their ABIs)
@@ -258,6 +260,18 @@ int main() {
       cached.queries,
       queries_reduced ? "reduced" : "NOT reduced",
       parity_ok ? "ok" : "DIVERGED");
+  // Informational, not gated: the parallel pool spawns its threads and a
+  // fresh Z3 context per query, so it can lose to the serial cached walk.
+  const ConfigTotals& parallel_cached = totals["parallel_cached"];
+  const double parallel_wall_ratio =
+      cached.solver_wall_ms > 0
+          ? parallel_cached.solver_wall_ms / cached.solver_wall_ms
+          : 0.0;
+  std::printf(
+      "parallel_cached vs cached: solver wall %.1f -> %.1f ms (%.2fx), "
+      "queries %zu -> %zu\n",
+      cached.solver_wall_ms, parallel_cached.solver_wall_ms,
+      parallel_wall_ratio, cached.queries, parallel_cached.queries);
 
   util::JsonObject doc;
   util::JsonArray ids;
@@ -270,6 +284,8 @@ int main() {
   doc.emplace("parity_ok", util::Json(parity_ok));
   doc.emplace("solver_wall_reduced", util::Json(wall_reduced));
   doc.emplace("queries_reduced", util::Json(queries_reduced));
+  doc.emplace("parallel_cached_vs_cached_wall_ratio",
+              util::Json(parallel_wall_ratio));
 
   std::ofstream out(out_path, std::ios::trunc);
   out << util::dump_json(util::Json(std::move(doc))) << '\n';

@@ -57,13 +57,13 @@ AdaptiveSeeds solve_flips_parallel(Z3Env& env, const ReplayResult& replay,
   const double hard_ms = options.effective_hard_timeout_ms();
 
   // Coordinator pre-pass: walk the path once with a single exporter solver
-  // (prefix holds asserted as they are passed; each flip exported from a
-  // push() scope), so exporting is O(path) assertions instead of the old
-  // O(path²) re-assert. Flips the cross-iteration cache already decided are
-  // answered here and never reach a worker; the exporter itself is
-  // materialized lazily on the first miss so an all-hits walk never pays
-  // Z3 internalization. flips[i] is flip i in serial path order, whichever
-  // worker solves it.
+  // (the flip solver construction, never checked; prefix holds asserted as
+  // they are passed; each flip exported from a push() scope), so exporting
+  // is O(path) assertions instead of the old O(path²) re-assert. Flips the
+  // cross-iteration cache already decided are answered here and never reach
+  // a worker; the exporter itself is materialized lazily on the first miss
+  // so an all-hits walk never pays Z3 internalization. flips[i] is flip i in
+  // serial path order, whichever worker solves it.
   std::vector<PendingFlip> flips;
   std::optional<z3::solver> exporter;
   std::vector<const z3::expr*> prefix;
@@ -118,7 +118,7 @@ AdaptiveSeeds solve_flips_parallel(Z3Env& env, const ReplayResult& replay,
       }
       if (!pending.hit.has_value() && !pending.dup_of.has_value()) {
         if (!exporter.has_value()) {
-          exporter.emplace(env.ctx());
+          exporter.emplace(make_flip_solver(env.ctx(), options.timeout_ms));
           for (const z3::expr* hold : prefix) exporter->add(*hold);
         }
         exporter->push();

@@ -4,9 +4,10 @@
 // timeout." Queries are exported as SMT-LIB2 text and each worker thread
 // solves in its own Z3 context (contexts are not thread-shareable).
 //
-// Exporting is prefix-sharded: a single coordinator-side solver walks the
-// path once, accumulating holds and serializing each flip from a push()
-// scope, so one call issues O(path) assertions (the legacy exporter
+// Exporting is prefix-sharded: a single coordinator-side solver (built by
+// make_flip_solver, like every flip solver; it is only ever printed)
+// walks the path once, accumulating holds and serializing each flip from a
+// push() scope, so one call issues O(path) assertions (the legacy exporter
 // re-asserted the prefix per flip, O(path²)). With a SolverOptions::cache,
 // already-decided flips are answered in the coordinator pre-pass and never
 // reach a worker (keys come from SolverCache::extend/flip_key, the same

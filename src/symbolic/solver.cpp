@@ -90,16 +90,17 @@ std::vector<ParamValue> seed_from_model_values(
   return mutated;
 }
 
-namespace {
-
-/// A solver on `ctx` carrying the per-query soft timeout.
-z3::solver make_solver(z3::context& ctx, unsigned timeout_ms) {
-  z3::solver solver(ctx);
+z3::solver make_flip_solver(z3::context& ctx, unsigned timeout_ms) {
+  z3::solver solver =
+      (z3::tactic(ctx, "simplify") & z3::tactic(ctx, "qfbv")).mk_solver();
   z3::params p(ctx);
   p.set("timeout", timeout_ms);
+  p.set("ctrl_c", false);
   solver.set(p);
   return solver;
 }
+
+namespace {
 
 /// Check the asserted query and classify it against the hard wall cap.
 SmtQueryResult check_query(z3::solver& solver, double hard_ms) {
@@ -128,7 +129,7 @@ SmtQueryResult solve_in_context(z3::context& ctx,
                                 const std::vector<const z3::expr*>& prefix,
                                 const z3::expr& flip, unsigned timeout_ms,
                                 double hard_ms) {
-  z3::solver solver = make_solver(ctx, timeout_ms);
+  z3::solver solver = make_flip_solver(ctx, timeout_ms);
   // Path prefix must stay feasible (§3.4.4: AND of prior constraints).
   for (const z3::expr* hold : prefix) solver.add(*hold);
   solver.add(flip);
@@ -140,7 +141,7 @@ SmtQueryResult solve_in_context(z3::context& ctx,
 SmtQueryResult solve_smt2_query(const std::string& smt2, unsigned timeout_ms,
                                 double hard_ms) {
   z3::context ctx;
-  z3::solver solver = make_solver(ctx, timeout_ms);
+  z3::solver solver = make_flip_solver(ctx, timeout_ms);
   solver.from_string(smt2.c_str());
   return check_query(solver, hard_ms);
 }

@@ -2,7 +2,19 @@
 // conditional state, conjoin the path prefix, and ask Z3 for a model —
 // each model becomes an adaptive seed.
 //
-// One serial path: each flip is decided by a fresh z3::solver in the
+// Which solver decides a flip: make_flip_solver, Z3's `simplify & qfbv`
+// tactic pipeline. Replay only builds bitvector and Bool terms (floats are
+// bit patterns, see symvalue.hpp), so every flip query is QF_BV by
+// construction, and for a QF_BV goal `simplify` then `qfbv` is what Z3's
+// default solver runs anyway. z3::solver(ctx) is not used: that default
+// combined solver builds a whole tactic tree and SMT kernel on its first
+// add() and walks an every-logic dispatch chain on check(), several times
+// the cost of deciding these small queries. The solver also turns Z3's
+// Ctrl-C handling off: Z3 otherwise swaps the process's SIGINT handler in
+// and out around every check(), which loses the campaign's own handler
+// when checks run on several threads.
+//
+// One serial path: each flip is decided by a fresh flip solver in the
 // analysis's own Z3 context (the Z3Env that built the terms), asserting the
 // path-prefix holds and the flip. Nothing is printed or parsed — the terms
 // are already internalized in that context, so the solver works on them
@@ -11,11 +23,18 @@
 // exported as SMT-LIB2 and decide it in a context of their own
 // (solve_smt2_query). That round trip reproduces the in-context models
 // bit-for-bit, which is what keeps the serial and parallel seed streams
-// identical; the parity tests and bench_perf_solver gate it. A solver that
-// accumulates the prefix incrementally and check()s each flip under
-// push/pop is NOT an option: Z3's incremental engine picks different
-// models than a one-shot solver for the same query, which would change
-// the seeds.
+// identical; the parity tests and bench_perf_solver gate it.
+//
+// Models are a contract, not an implementation detail: Z3's model choice
+// depends on AST ids, so the solver, and even what else the context has
+// allocated before a check, can change which model a sat flip yields and
+// thus the adaptive seeds. The perfbench fingerprints, the serial/parallel
+// parity tests and the exact query/hit counts in solver_perf_test are what
+// hold any solver change to the same seeds. A solver that accumulates the
+// prefix and check()s each flip under push/pop gains nothing either: under
+// a tactic solver push/pop re-solves from scratch, and fresh-per-flip is
+// simpler.
+//
 // An optional cross-iteration SolverCache short-circuits queries that were
 // already decided in an earlier iteration (see solver_cache.hpp).
 #pragma once
@@ -120,6 +139,11 @@ struct SmtQueryResult {
   ModelValues model;       // populated for sat within the hard cap
   bool overshoot = false;  // wall time exceeded hard_ms; model discarded
 };
+
+/// The solver every flip query is decided by, serial, parallel worker or
+/// parallel exporter alike: `simplify & qfbv` on `ctx` with the per-query
+/// soft `timeout` and `ctrl_c` off (see the header note).
+z3::solver make_flip_solver(z3::context& ctx, unsigned timeout_ms);
 
 /// Decide one SMT-LIB2 query in a fresh Z3 context: how the parallel
 /// workers, which cannot use the analysis's context, decide a flip. Same

@@ -3,6 +3,10 @@
 // through instrumented SDK-shaped contracts running on the local chain.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <csignal>
+#include <thread>
+
 #include "abi/serializer.hpp"
 #include "chain/controller.hpp"
 #include "corpus/contract_builder.hpp"
@@ -1106,6 +1110,44 @@ TEST(Replay, ObfuscatedTraceReplaysToIdenticalTerms) {
     EXPECT_TRUE(same_term(p.hold, other.path[i].hold, false)) << i;
     EXPECT_TRUE(same_term(p.flip, other.path[i].flip, false)) << i;
   }
+}
+
+void ignore_sigint(int) {}
+
+TEST(Solver, ConcurrentFlipSolvesKeepTheProcessSigintHandler) {
+  // Unless a solver turns `ctrl_c` off, Z3 installs its own SIGINT handler
+  // for the length of every check() and then restores the one it saved.
+  // Checks on several threads save and restore one another's handler, so
+  // the process's own handler (wasai-campaign's graceful drain) can be
+  // lost for good. Flip solves on 4 threads must leave it installed.
+  struct sigaction installed {};
+  installed.sa_handler = ignore_sigint;
+  sigemptyset(&installed.sa_mask);
+  struct sigaction previous {};
+  ASSERT_EQ(sigaction(SIGINT, &installed, &previous), 0);
+
+  const std::string query =
+      "(declare-fun x () (_ BitVec 64))\n"
+      "(assert (= (bvmul x #x0000000000000003)"
+      " (bvadd x #x0000000000000008)))\n";
+  std::atomic<int> sat{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 150; ++i) {
+        if (solve_smt2_query(query, 200, 10000).verdict ==
+            SmtQueryResult::Verdict::Sat) {
+          ++sat;
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  struct sigaction after {};
+  ASSERT_EQ(sigaction(SIGINT, &previous, &after), 0);
+  EXPECT_EQ(sat.load(), 4 * 150);
+  EXPECT_EQ(after.sa_handler, &ignore_sigint);
 }
 
 }  // namespace
